@@ -210,7 +210,10 @@ def map_strict(d, box: ParameterBox | None = None, conjugate_positive: bool = Tr
             f"largest part {d.largest} exceeds 2N+nu = {box.strict_largest_bound}"
         )
     result = split_point(shifted_column_profile(d), d.length)
-    assert result.m == staircase_length(k)
+    if result.m != staircase_length(k):
+        raise ParameterMismatch(
+            f"staircase of length {result.m} split off, BG-rank {k} needs {staircase_length(k)}"
+        )
     tail = result.tail
     image = cover_image(tail.a, tail) if tail else Partition()
     conjugated = k > 0 and conjugate_positive

@@ -23,7 +23,7 @@ from .bijections import (
 )
 from .cover import double_cover
 from .enumeration import EnumSpec, count_partitions, enumerate_partitions
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, RankMismatch
 from .partitions import (
     bg_rank,
     bg_rank_residue,
@@ -54,16 +54,24 @@ from .sequences import split_point
 IDENTITIES = ("eq1", "eq2", "eq3", "eq51", "eq52", "eq53", "theorem31", "roundtrip")
 
 
+def _parse_int(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {text!r} is not an integer") from exc
+
+
 def _parse_range(text: str) -> list[int]:
     """'0..5' or '0,1' or '-2..3' or single numbers; commas combine."""
+    where = f"range {text!r}"
     values = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
             lo, hi = token.split("..", 1)
-            values.extend(range(int(lo), int(hi) + 1))
+            values.extend(range(_parse_int(lo, where), _parse_int(hi, where) + 1))
         elif token:
-            values.append(int(token))
+            values.append(_parse_int(token, where))
     if not values:
         raise ParseError(f"empty range: {text!r}")
     return values
@@ -202,7 +210,9 @@ def cmd_rank(args, out) -> int:
     started = time.perf_counter()
     p = parse_partition(args.partition)
     counts, rank = bg_rank_residue(p)
-    assert rank == bg_rank(p)
+    by_index = bg_rank(p)
+    if rank != by_index:
+        raise RankMismatch(f"residue count gives BG-rank {rank}, part indices give {by_index}")
     ms = (time.perf_counter() - started) * 1000.0
     if args.json:
         _emit(_json_record("rank", args.partition, k=rank, ms=ms), out)
@@ -227,7 +237,7 @@ def cmd_gf(args, out) -> int:
     elif args.kind == "negpoch":
         poly = neg_q_pochhammer(args.count)
     else:  # invpoch
-        factors = None if args.factors == "inf" else int(args.factors)
+        factors = None if args.factors == "inf" else _parse_int(args.factors, "--factors")
         poly = inv_pochhammer(args.base, factors, args.degree)
     if args.json:
         _emit(poly.to_json_dict(), out)

@@ -8,6 +8,7 @@ and nothing is materialized.
 from dataclasses import dataclass
 from typing import Iterator
 
+from .errors import InvalidArgument
 from .partitions import Partition, StrictPartition, bg_rank
 
 
@@ -27,11 +28,11 @@ class EnumSpec:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
+            raise InvalidArgument(f"n must be non-negative, got {self.n}")
         if self.max_part is not None and self.max_part < 0:
-            raise ValueError(f"max_part must be non-negative, got {self.max_part}")
+            raise InvalidArgument(f"max_part must be non-negative, got {self.max_part}")
         if self.max_len is not None and self.max_len < 0:
-            raise ValueError(f"max_len must be non-negative, got {self.max_len}")
+            raise InvalidArgument(f"max_len must be non-negative, got {self.max_len}")
 
 
 def _descend(remaining: int, cap: int, slots: int | None, strict: bool, prefix: list[int]):

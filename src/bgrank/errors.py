@@ -15,6 +15,13 @@ class ParseError(DomainError):
     """Text input could not be parsed into a partition or sequence."""
 
 
+class InvalidArgument(DomainError, ValueError):
+    """A numeric argument lies outside the operation's domain.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
+
+
 class NotABSequence(DomainError):
     """Sequence violates the staircase / non-increasing / alternating-sum rules."""
 

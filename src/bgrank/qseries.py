@@ -7,16 +7,19 @@ agree on every exponent both of them know about.
 
 The verify_* functions each pit an enumeration-side generating function
 against a closed-form product side and report the first disagreeing
-coefficient, if any.  Identity keys (eq1, eq2, eq3, eq51, eq52, eq53)
+coefficient, if any.  The two sides share no code: products come from one
+in-place factor pass, rank-refined counts from a DP over part values.  Identity keys (eq1, eq2, eq3, eq51, eq52, eq53)
 match the CLI's `verify` subcommand.
 """
 
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from operator import add, sub
 from typing import Iterable
 
-from .partitions import Partition, bg_rank
+from .errors import InvalidArgument
 
 
 class QPolynomial:
@@ -28,7 +31,7 @@ class QPolynomial:
         coeffs = list(coeffs)
         if truncation is not None:
             if truncation < 0:
-                raise ValueError(f"truncation must be non-negative, got {truncation}")
+                raise InvalidArgument(f"truncation must be non-negative, got {truncation}")
             del coeffs[truncation + 1 :]
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
@@ -49,7 +52,7 @@ class QPolynomial:
     @classmethod
     def monomial(cls, exponent: int, coeff: int = 1, truncation: int | None = None) -> "QPolynomial":
         if exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {exponent}")
+            raise InvalidArgument(f"exponent must be non-negative, got {exponent}")
         return cls([0] * exponent + [coeff], truncation)
 
     def is_zero(self) -> bool:
@@ -63,9 +66,9 @@ class QPolynomial:
     def coefficient(self, exponent: int) -> int:
         """Coefficient of q^exponent; asking past the truncation is an error."""
         if exponent < 0:
-            raise ValueError(f"exponent must be non-negative, got {exponent}")
+            raise InvalidArgument(f"exponent must be non-negative, got {exponent}")
         if self.truncation is not None and exponent > self.truncation:
-            raise ValueError(f"coefficient {exponent} is beyond truncation {self.truncation}")
+            raise InvalidArgument(f"coefficient {exponent} is beyond truncation {self.truncation}")
         return self.coeffs[exponent] if exponent < len(self.coeffs) else 0
 
     def truncate(self, degree: int) -> "QPolynomial":
@@ -188,7 +191,7 @@ class QPolynomial:
 def substitute_power(p: QPolynomial, j: int) -> QPolynomial:
     """p(q^j); the truncation degree scales by j as well."""
     if j < 1:
-        raise ValueError(f"power must be positive, got {j}")
+        raise InvalidArgument(f"power must be positive, got {j}")
     if not p.coeffs:
         return QPolynomial((), None if p.truncation is None else p.truncation * j)
     out = [0] * ((len(p.coeffs) - 1) * j + 1)
@@ -197,21 +200,83 @@ def substitute_power(p: QPolynomial, j: int) -> QPolynomial:
     return QPolynomial(out, None if p.truncation is None else p.truncation * j)
 
 
-@lru_cache(maxsize=None)
+# ---------------------------------------------------------------- product side
+#
+# Every closed-form product is built by one in-place pass over a list of
+# coefficients, one factor at a time.  Each pass costs O(len(c)), so a
+# product of F factors up to degree D costs O(F * D).
+
+
+def _factor_pass(c: list[int], j: int, op: str, degree: int | None = None) -> None:
+    """Multiply c in place by (1 + q^j) for op "+", by (1 - q^j) for "-",
+    or divide it by (1 - q^j) for "/".
+
+    Without a degree c is an exact polynomial, which "/" must divide
+    exactly.  With one, c is a power series known up to q^degree and never
+    grows past that length; "/" then multiplies in the geometric series
+    1 + q^j + q^2j + ..., the prefix recurrence c[e] += c[e - j].
+    """
+    if op == "/":
+        size = len(c)
+        # the same recurrence either way: one running sum per residue class
+        # mod j (j slices), or block after block of j (size / j slices)
+        if j * j < size:
+            for r in range(j):
+                c[r::j] = accumulate(c[r::j])
+        else:
+            for b in range(j, size, j):
+                c[b : b + j] = map(add, c[b : b + j], c[b - j : b])
+        if degree is None:
+            if any(c[size - j :]):
+                raise ArithmeticError(f"1 - q^{j} does not divide the polynomial")
+            del c[size - j :]
+        return
+    top = len(c) + j if degree is None else min(len(c) + j, degree + 1)
+    c.extend([0] * (top - len(c)))
+    c[j:] = map(add if op == "+" else sub, c[j:], c[: top - j])
+
+
+def _pochhammer_gaps(base_power: int, factors: int | None, degree: int) -> range:
+    """The exponents j of the factors (1 - q^j) of (q^b; q^b)_factors that
+    can reach q^degree; factors=None means all of them."""
+    count = degree // base_power if factors is None else min(factors, degree // base_power)
+    return range(base_power, base_power * count + 1, base_power)
+
+
+def _over_products(shift: int, gaps: Iterable[int], degree: int) -> list[int]:
+    """Coefficients up to q^degree of q^shift / prod_{j in gaps} (1 - q^j)."""
+    c = [0] * (degree + 1)
+    if shift <= degree:
+        c[shift] = 1
+        for j in gaps:
+            _factor_pass(c, j, "/", degree)
+    return c
+
+
+def _add_base2(out: list[int], shift: int, coeffs) -> None:
+    """out += q^shift * p(q^2) in place, where p has the given coefficients."""
+    end = shift + 2 * len(coeffs)
+    out[shift:end:2] = map(add, out[shift:end:2], coeffs)
+
+
 def gaussian_binomial(m: int, n: int) -> QPolynomial:
     """Gaussian binomial [m, n]_q as an exact polynomial.
 
-    Zero outside 0 <= n <= m, otherwise computed division-free via
-    [m, n] = [m-1, n-1] + q^n * [m-1, n]; coefficient of q^j counts the
-    partitions of j inside an n x (m-n) box, so the degree is n*(m-n).
+    Zero outside 0 <= n <= m, otherwise the product
+    prod_{i=1..n} (1 - q^(m-n+i)) / (1 - q^i) with n <= m - n, each
+    division exact; coefficient of q^j counts the partitions of j inside
+    an n x (m-n) box, so the degree is n*(m-n).
     """
     if m < 0:
-        raise ValueError(f"m must be non-negative, got {m}")
+        raise InvalidArgument(f"m must be non-negative, got {m}")
     if n < 0 or n > m:
         return QPolynomial.zero()
-    if n == 0:
-        return QPolynomial.one()
-    return gaussian_binomial(m - 1, n - 1) + QPolynomial.monomial(n) * gaussian_binomial(m - 1, n)
+    n = min(n, m - n)
+    c = [1]
+    for i in range(1, n + 1):
+        _factor_pass(c, m - n + i, "-")
+        _factor_pass(c, i, "/")
+    return QPolynomial(c)
 
 
 def neg_q_pochhammer(count: int) -> QPolynomial:
@@ -221,115 +286,125 @@ def neg_q_pochhammer(count: int) -> QPolynomial:
     <= count; its degree is count*(count+1)/2.
     """
     if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    out = QPolynomial.one()
+        raise InvalidArgument(f"count must be non-negative, got {count}")
+    c = [1]
     for k in range(1, count + 1):
-        out = out * (QPolynomial.one() + QPolynomial.monomial(k))
-    return out
+        _factor_pass(c, k, "+")
+    return QPolynomial(c)
 
 
 def inv_pochhammer(base_power: int, factors: int | None, degree: int) -> QPolynomial:
     """1 / prod_{i=1..factors} (1 - q^(base_power * i)), truncated at degree.
 
     factors=None means infinitely many, i.e. every i with
-    base_power * i <= degree.  Each factor multiplies in a geometric
-    series, done in place with the classic prefix recurrence.
+    base_power * i <= degree.
     """
     if base_power < 1:
-        raise ValueError(f"base_power must be positive, got {base_power}")
+        raise InvalidArgument(f"base_power must be positive, got {base_power}")
     if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
+        raise InvalidArgument(f"degree must be non-negative, got {degree}")
     if factors is not None and factors < 0:
-        raise ValueError(f"factors must be non-negative or None, got {factors}")
-    coeffs = [0] * (degree + 1)
-    coeffs[0] = 1
-    i = 1
-    while (factors is None or i <= factors) and base_power * i <= degree:
-        gap = base_power * i
-        for e in range(gap, degree + 1):
-            coeffs[e] += coeffs[e - gap]
-        i += 1
-    return QPolynomial(coeffs, degree)
+        raise InvalidArgument(f"factors must be non-negative or None, got {factors}")
+    return QPolynomial(_over_products(0, _pochhammer_gaps(base_power, factors, degree), degree), degree)
+
+
+# ---------------------------------------------------------------- enumeration side
+#
+# Partitions are built part value by part value, largest first, so the
+# next part placed has 1-based index (parts placed so far) + 1.  The state
+# is that count's parity and the running BG-rank; each state holds the
+# size generating function of the partial partitions that reach it.  One
+# pass gives every rank at once and costs O(M * ranks * degree) for M part
+# values.  Nothing here uses the product side above.
+
+
+def _rank_step(parity: int, part: int) -> int:
+    """BG-rank change from placing `part` at an index of the given parity
+    of the parts already placed: +1 at an odd index, -1 at an even one."""
+    if part % 2 == 0:
+        return 0
+    return 1 if parity == 0 else -1
+
+
+def _add_into(table: dict, key, c: list[int]) -> None:
+    """table[key] += c, coefficient by coefficient; c is not copied."""
+    table[key] = list(map(add, table[key], c)) if key in table else c
+
+
+def _by_rank(states: dict) -> dict[int, tuple[int, ...]]:
+    """Merge the two parities of each rank."""
+    table: dict = {}
+    for (_, rank), c in states.items():
+        _add_into(table, rank, c)
+    return {rank: tuple(c) for rank, c in table.items()}
+
+
+@lru_cache(maxsize=8)
+def _strict_rank_table(max_part: int, degree: int) -> dict[int, tuple[int, ...]]:
+    """rank -> coefficients up to q^degree of the strict partitions with
+    parts <= max_part and that BG-rank."""
+    states = {(0, 0): [1] + [0] * degree}
+    for part in range(min(max_part, degree), 0, -1):
+        moved: dict = {}
+        for (parity, rank), c in states.items():
+            kept = c[: degree + 1 - part]
+            if any(kept):  # otherwise taking the part overshoots the degree
+                taken = [0] * part + kept
+                _add_into(moved, (1 - parity, rank + _rank_step(parity, part)), taken)
+        for key, c in moved.items():
+            _add_into(states, key, c)
+    return _by_rank(states)
+
+
+@lru_cache(maxsize=8)
+def _all_rank_table(max_part: int, degree: int) -> dict[int, tuple[int, ...]]:
+    """rank -> coefficients up to q^degree of the partitions (repeated parts
+    allowed) with parts <= max_part and that BG-rank.
+
+    r copies of one part take r consecutive indices: an even r leaves the
+    parity and the rank as they were, an odd r flips the parity and moves
+    the rank as a single copy would.
+    """
+    states = {(0, 0): [1] + [0] * degree}
+    for part in range(min(max_part, degree), 0, -1):
+        moved: dict = {}
+        for (parity, rank), c in states.items():
+            even = list(c)  # sum over even r of c * q^(r * part)
+            for e in range(2 * part, degree + 1):
+                even[e] += even[e - 2 * part]
+            _add_into(moved, (parity, rank), even)
+            kept = even[: degree + 1 - part]
+            if any(kept):
+                odd = [0] * part + kept
+                _add_into(moved, (1 - parity, rank + _rank_step(parity, part)), odd)
+        states = moved
+    return _by_rank(states)
 
 
 def strict_bgrank_gf(max_part: int, k: int) -> QPolynomial:
     """Exact sum of q^|d| over strict partitions with parts <= max_part
-    and BG-rank k, by enumerating all subsets of {1, ..., max_part}."""
+    and BG-rank k."""
     if max_part < 0:
-        raise ValueError(f"max_part must be non-negative, got {max_part}")
-    coeffs = [0] * (max_part * (max_part + 1) // 2 + 1)
-    for mask in range(1 << max_part):
-        rank = total = 0
-        idx = 0
-        for part in range(max_part, 0, -1):
-            if mask >> (part - 1) & 1:
-                idx += 1
-                total += part
-                if part % 2 == 1:
-                    rank += 1 if idx % 2 == 1 else -1
-        if rank == k:
-            coeffs[total] += 1
-    return QPolynomial(coeffs)
-
-
-@lru_cache(maxsize=None)
-def _bounded_rank_counts(max_part: int, degree: int) -> dict:
-    """counts[(n, rank)] over all partitions with parts <= max_part, n <= degree."""
-    counts: dict[tuple[int, int], int] = {}
-
-    def walk(cap: int, used: int, idx: int, rank: int):
-        key = (used, rank)
-        counts[key] = counts.get(key, 0) + 1
-        top = min(cap, degree - used)
-        for part in range(top, 0, -1):
-            walk(part, used + part, idx + 1, rank + ((1 if (idx + 1) % 2 == 1 else -1) if part % 2 == 1 else 0))
-
-    walk(max_part, 0, 0, 0)
-    return counts
+        raise InvalidArgument(f"max_part must be non-negative, got {max_part}")
+    return QPolynomial(_strict_rank_table(max_part, max_part * (max_part + 1) // 2).get(k, ()))
 
 
 def all_bgrank_gf(max_part: int, k: int, degree: int) -> QPolynomial:
     """Truncated sum of q^|p| over all partitions (repetition allowed) with
-    parts <= max_part, BG-rank k and size <= degree, by bounded enumeration."""
+    parts <= max_part, BG-rank k and size <= degree."""
     if max_part < 0:
-        raise ValueError(f"max_part must be non-negative, got {max_part}")
+        raise InvalidArgument(f"max_part must be non-negative, got {max_part}")
     if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
-    counts = _bounded_rank_counts(max_part, degree)
-    coeffs = [0] * (degree + 1)
-    for (n, rank), c in counts.items():
-        if rank == k:
-            coeffs[n] = c
-    return QPolynomial(coeffs, degree)
-
-
-@lru_cache(maxsize=None)
-def _strict_rank_counts(degree: int) -> dict:
-    """counts[(n, rank)] over all strict partitions of n <= degree."""
-    counts: dict[tuple[int, int], int] = {}
-
-    def walk(cap: int, used: int, idx: int, rank: int):
-        key = (used, rank)
-        counts[key] = counts.get(key, 0) + 1
-        top = min(cap, degree - used)
-        for part in range(top, 0, -1):
-            walk(part - 1, used + part, idx + 1, rank + ((1 if (idx + 1) % 2 == 1 else -1) if part % 2 == 1 else 0))
-
-    walk(degree, 0, 0, 0)
-    return counts
+        raise InvalidArgument(f"degree must be non-negative, got {degree}")
+    return QPolynomial(_all_rank_table(max_part, degree).get(k, ()), degree)
 
 
 def strict_rank_series(k: int, degree: int) -> QPolynomial:
     """Truncated sum of q^n times the number of strict partitions of n
     with BG-rank k, with no bound on the parts."""
     if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
-    counts = _strict_rank_counts(degree)
-    coeffs = [0] * (degree + 1)
-    for (n, rank), c in counts.items():
-        if rank == k:
-            coeffs[n] = c
-    return QPolynomial(coeffs, degree)
+        raise InvalidArgument(f"degree must be non-negative, got {degree}")
+    return QPolynomial(_strict_rank_table(degree, degree).get(k, ()), degree)
 
 
 @dataclass(frozen=True)
@@ -392,7 +467,7 @@ def _report(identity: str, params: dict, lhs: QPolynomial, rhs: QPolynomial, sta
 
 def _check_nu(nu: int):
     if nu not in (0, 1):
-        raise ValueError(f"nu must be 0 or 1, got {nu}")
+        raise InvalidArgument(f"nu must be 0 or 1, got {nu}")
 
 
 def verify_eq1(n_cap: int, nu: int, k: int) -> VerificationReport:
@@ -402,24 +477,33 @@ def verify_eq1(n_cap: int, nu: int, k: int) -> VerificationReport:
     _check_nu(nu)
     started = time.perf_counter()
     lhs = strict_bgrank_gf(2 * n_cap + nu, k)
-    rhs = QPolynomial.monomial(2 * k * k - k) * substitute_power(
-        gaussian_binomial(2 * n_cap + nu, n_cap + k), 2
-    )
-    return _report("eq1", {"N": n_cap, "nu": nu, "k": k}, lhs, rhs, started)
+    row = gaussian_binomial(2 * n_cap + nu, n_cap + k).coeffs
+    shift = 2 * k * k - k
+    rhs = [0] * (shift + 2 * len(row))
+    _add_base2(rhs, shift, row)
+    return _report("eq1", {"N": n_cap, "nu": nu, "k": k}, lhs, QPolynomial(rhs), started)
 
 
 def verify_eq52(n_cap: int, nu: int) -> VerificationReport:
     """Sum of the eq1 right sides over k = -N .. N+nu against
-    (-q; q)_{2N+nu}, exactly."""
+    (-q; q)_{2N+nu}, exactly.
+
+    The binomials [m, n] of the row m = 2N+nu are walked with
+    [m, n] = [m, n-1] (1 - q^(m-n+1)) / (1 - q^n), each added into one sum.
+    """
     _check_nu(nu)
     started = time.perf_counter()
-    lhs = QPolynomial.zero()
-    for k in range(-n_cap, n_cap + nu + 1):
-        lhs = lhs + QPolynomial.monomial(2 * k * k - k) * substitute_power(
-            gaussian_binomial(2 * n_cap + nu, n_cap + k), 2
-        )
-    rhs = neg_q_pochhammer(2 * n_cap + nu)
-    return _report("eq52", {"N": n_cap, "nu": nu}, lhs, rhs, started)
+    m = 2 * n_cap + nu
+    rhs = neg_q_pochhammer(m)
+    lhs = [0] * (m * (m + 1) // 2 + 1)
+    row = [1]
+    for n in range(m + 1):
+        if n:
+            _factor_pass(row, m - n + 1, "-")
+            _factor_pass(row, n, "/")
+        k = n - n_cap
+        _add_base2(lhs, 2 * k * k - k, row)
+    return _report("eq52", {"N": n_cap, "nu": nu}, QPolynomial(lhs), rhs, started)
 
 
 def verify_eq2(k: int, degree: int) -> VerificationReport:
@@ -427,12 +511,8 @@ def verify_eq2(k: int, degree: int) -> VerificationReport:
     q^(2k^2-k) / (q^2; q^2)_infinity, coefficients up to the degree."""
     started = time.perf_counter()
     lhs = strict_rank_series(k, degree)
-    t = 2 * k * k - k
-    if t > degree:
-        rhs = QPolynomial.zero(degree)
-    else:
-        rhs = (QPolynomial.monomial(t) * inv_pochhammer(2, None, degree)).truncate(degree)
-    return _report("eq2", {"k": k, "D": degree}, lhs, rhs, started)
+    rhs = _over_products(2 * k * k - k, _pochhammer_gaps(2, None, degree), degree)
+    return _report("eq2", {"k": k, "D": degree}, lhs, QPolynomial(rhs, degree), started)
 
 
 def verify_eq3(degree: int) -> VerificationReport:
@@ -452,6 +532,11 @@ def verify_eq3(degree: int) -> VerificationReport:
     )
 
 
+def _eq51_gaps(n_cap: int, nu: int, k: int, degree: int) -> list[int]:
+    """Factor exponents of (q^2;q^2)_{N+k} (q^2;q^2)_{N+nu-k}."""
+    return [*_pochhammer_gaps(2, n_cap + k, degree), *_pochhammer_gaps(2, n_cap + nu - k, degree)]
+
+
 def verify_eq51(n_cap: int, nu: int, k: int, degree: int) -> VerificationReport:
     """All partitions with parts <= 2N+nu and BG-rank k, against
     q^(2k^2-k) / ((q^2;q^2)_{N+k} (q^2;q^2)_{N+nu-k}), up to the degree.
@@ -463,18 +548,10 @@ def verify_eq51(n_cap: int, nu: int, k: int, degree: int) -> VerificationReport:
     started = time.perf_counter()
     lhs = all_bgrank_gf(2 * n_cap + nu, k, degree)
     if n_cap + k < 0 or n_cap + nu - k < 0:
-        rhs = QPolynomial.zero(degree)
+        rhs = [0]
     else:
-        t = 2 * k * k - k
-        if t > degree:
-            rhs = QPolynomial.zero(degree)
-        else:
-            rhs = (
-                QPolynomial.monomial(t)
-                * inv_pochhammer(2, n_cap + k, degree)
-                * inv_pochhammer(2, n_cap + nu - k, degree)
-            ).truncate(degree)
-    return _report("eq51", {"N": n_cap, "nu": nu, "k": k, "D": degree}, lhs, rhs, started)
+        rhs = _over_products(2 * k * k - k, _eq51_gaps(n_cap, nu, k, degree), degree)
+    return _report("eq51", {"N": n_cap, "nu": nu, "k": k, "D": degree}, lhs, QPolynomial(rhs, degree), started)
 
 
 def verify_eq53(n_cap: int, nu: int, degree: int) -> VerificationReport:
@@ -482,15 +559,9 @@ def verify_eq53(n_cap: int, nu: int, degree: int) -> VerificationReport:
     1 / (q; q)_{2N+nu}, up to the degree."""
     _check_nu(nu)
     started = time.perf_counter()
-    lhs = QPolynomial.zero(degree)
-    for k in range(-n_cap, n_cap + nu + 1):
-        t = 2 * k * k - k
-        if t > degree:
-            continue
-        lhs = lhs + (
-            QPolynomial.monomial(t)
-            * inv_pochhammer(2, n_cap + k, degree)
-            * inv_pochhammer(2, n_cap + nu - k, degree)
-        ).truncate(degree)
     rhs = inv_pochhammer(1, 2 * n_cap + nu, degree)
-    return _report("eq53", {"N": n_cap, "nu": nu, "D": degree}, lhs, rhs, started)
+    lhs = [0] * (degree + 1)
+    for k in range(-n_cap, n_cap + nu + 1):
+        term = _over_products(2 * k * k - k, _eq51_gaps(n_cap, nu, k, degree), degree)
+        lhs = list(map(add, lhs, term))
+    return _report("eq53", {"N": n_cap, "nu": nu, "D": degree}, QPolynomial(lhs, degree), rhs, started)

@@ -132,7 +132,7 @@ def criterion_1(quick: bool = False) -> CriterionResult:
 def criterion_2(quick: bool = False) -> CriterionResult:
     """Bounded strict rank generating function equals the shifted q^2 binomial."""
     started = time.perf_counter()
-    n_top = 3 if quick else 5
+    n_top = 3 if quick else 12
     bad = []
     total = 0
     for n_cap in range(n_top + 1):
@@ -154,7 +154,7 @@ def criterion_2(quick: bool = False) -> CriterionResult:
 def criterion_3(quick: bool = False) -> CriterionResult:
     """Rank-summed binomials equal the finite distinct-parts product."""
     started = time.perf_counter()
-    n_top = 3 if quick else 5
+    n_top = 3 if quick else 20
     bad = []
     total = 0
     for n_cap in range(n_top + 1):
@@ -175,7 +175,7 @@ def criterion_3(quick: bool = False) -> CriterionResult:
 def criterion_4(quick: bool = False) -> CriterionResult:
     """Truncated identities eq2 / eq3 / eq51 / eq53 agree up to the cutoff."""
     started = time.perf_counter()
-    degree = 16 if quick else 40
+    degree = 16 if quick else 200
     k_top = 2 if quick else 3
     n_top = 2 if quick else 5
     bad = []

@@ -105,3 +105,50 @@ def ab_sequences(a, size_max):
                     out.append((entries, b))
         b += 1
     return out
+
+
+def _rank_step(index, part):
+    """Contribution of `part` at 1-based `index` to the BG-rank."""
+    if part % 2 == 0:
+        return 0
+    return 1 if index % 2 == 1 else -1
+
+
+def _coeffs_by_rank(counts):
+    """{(n, rank): count} -> {rank: coefficient tuple without trailing zeros}."""
+    table = {}
+    for (n, rank), c in counts.items():
+        row = table.setdefault(rank, [])
+        row.extend([0] * (n + 1 - len(row)))
+        row[n] += c
+    return {rank: tuple(row) for rank, row in table.items()}
+
+
+def subset_rank_table(max_part):
+    """rank -> size coefficients of the strict partitions with parts <=
+    max_part, by looping over all 2^max_part subsets of {1..max_part}."""
+    counts = {}
+    for mask in range(1 << max_part):
+        rank = total = idx = 0
+        for part in range(max_part, 0, -1):
+            if mask >> (part - 1) & 1:
+                idx += 1
+                total += part
+                rank += _rank_step(idx, part)
+        counts[(total, rank)] = counts.get((total, rank), 0) + 1
+    return _coeffs_by_rank(counts)
+
+
+def walk_rank_table(max_part, degree, strict):
+    """rank -> size coefficients up to degree of the partitions with parts
+    <= max_part (distinct ones if strict), by a recursive walk that visits
+    every such partition once."""
+    counts = {}
+
+    def walk(cap, used, idx, rank):
+        counts[(used, rank)] = counts.get((used, rank), 0) + 1
+        for part in range(min(cap, degree - used), 0, -1):
+            walk(part - 1 if strict else part, used + part, idx + 1, rank + _rank_step(idx + 1, part))
+
+    walk(max_part, 0, 0, 0)
+    return _coeffs_by_rank(counts)

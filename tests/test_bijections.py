@@ -1,5 +1,6 @@
 import pytest
 
+from bgrank import bijections
 from bgrank import (
     EPSILON,
     InconsistentParameters,
@@ -173,6 +174,13 @@ class TestMapStrict:
     def test_largest_part_bound(self):
         with pytest.raises(LargestPartExceedsBound):
             map_strict(StrictPartition((9, 7, 5, 4, 1)), ParameterBox(1, 0, 2))
+
+    def test_staircase_check_is_a_real_raise(self, monkeypatch):
+        # the split must peel off the staircase the rank requires; break
+        # that agreement and map_strict must refuse, also under python -O
+        monkeypatch.setattr(bijections, "staircase_length", lambda k: staircase_length(k) + 1)
+        with pytest.raises(ParameterMismatch):
+            map_strict(StrictPartition((9, 7, 5, 4, 1)))
 
 
 class TestUnmapStrict:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from bgrank import QPolynomial, qseries
+from bgrank import QPolynomial, cli, qseries
 from bgrank.cli import main
 
 
@@ -229,3 +229,28 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "eq99"])
         assert exc.value.code == 2
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["gf", "strict", "--max-part", "-1"], 3),
+            (["verify", "eq1", "--nu", "2"], 3),
+            (["verify", "eq1", "--N", "0..x"], 2),
+            (["gf", "invpoch", "--factors", "abc"], 2),
+        ],
+        ids=["negative-max-part", "nu-2", "bad-range", "bad-factors"],
+    )
+    def test_bad_argument_gives_one_error_line(self, argv, code, capsys):
+        assert run(argv)[0] == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_rank_check_is_a_real_raise(self, monkeypatch, capsys):
+        # the residue count and the part indices must agree on the BG-rank;
+        # break that agreement and `rank` must refuse, also under python -O
+        monkeypatch.setattr(cli, "bg_rank", lambda p: 99)
+        assert run(["rank", "10,7,4,2"])[0] == 3
+        assert capsys.readouterr().err.startswith("error: ")

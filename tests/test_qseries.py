@@ -1,3 +1,6 @@
+import random
+from math import comb
+
 import pytest
 
 from bgrank import (
@@ -8,6 +11,7 @@ from bgrank import (
     gaussian_binomial,
     inv_pochhammer,
     neg_q_pochhammer,
+    qseries,
     strict_bgrank_gf,
     strict_rank_series,
     substitute_power,
@@ -18,7 +22,7 @@ from bgrank import (
     verify_eq52,
     verify_eq53,
 )
-from oracles import box_count, strict_partitions_by_size
+from oracles import box_count, strict_partitions_by_size, subset_rank_table, walk_rank_table
 
 
 class TestQPolynomial:
@@ -109,6 +113,47 @@ class TestGaussianBinomial:
             for n in range(m + 1):
                 assert all(c >= 0 for c in gaussian_binomial(m, n).coeffs)
 
+    def test_large_binomial_exact(self):
+        coeffs = gaussian_binomial(200, 100).coeffs
+        assert len(coeffs) == 100 * 100 + 1
+        assert sum(coeffs) == comb(200, 100)
+        assert coeffs == coeffs[::-1]
+
+
+class TestProductKernel:
+    def test_passes_match_generic_multiply(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            coeffs = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))] + [1]
+            poly = QPolynomial(coeffs)
+            j = rng.randint(1, 15)
+            for op, factor in (("+", 1), ("-", -1)):
+                c = list(coeffs)
+                qseries._factor_pass(c, j, op)
+                assert QPolynomial(c) == poly * (QPolynomial.one() + QPolynomial.monomial(j, factor))
+                if op == "-":
+                    qseries._factor_pass(c, j, "/")
+                    assert c == coeffs
+
+    def test_truncated_passes_keep_length(self):
+        c = [1, 2, 3]
+        qseries._factor_pass(c, 2, "+", degree=3)
+        assert c == [1, 2, 4, 2]
+        qseries._factor_pass(c, 1, "/", degree=3)
+        assert c == [1, 3, 7, 9]
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError):
+            qseries._factor_pass([1, 1], 1, "/")
+
+
+class TestBoundedCaches:
+    def test_every_cache_is_bounded(self):
+        caches = [value for value in vars(qseries).values() if hasattr(value, "cache_info")]
+        assert caches
+        for fn in caches:
+            assert fn.cache_info().maxsize is not None, fn.__name__
+
 
 class TestSubstitutePower:
     def test_fixtures(self):
@@ -191,6 +236,30 @@ class TestRankGeneratingFunctions:
         assert poly.coefficient(0) == 1
         assert poly.coefficient(2) == 1
         assert poly.coefficient(4) == 2
+
+
+class TestAgainstBruteForce:
+    """The rank DPs against the brute-force oracles, on the grids the
+    tests above use."""
+
+    def test_strict_gf_matches_subset_loop(self):
+        for cap in range(13):
+            table = subset_rank_table(cap)
+            for k in range(-cap - 1, cap + 3):
+                assert strict_bgrank_gf(cap, k).coeffs == table.get(k, ()), (cap, k)
+
+    def test_all_gf_matches_walk(self):
+        for degree in (4, 12, 20):
+            for cap in range(10):
+                table = walk_rank_table(cap, degree, strict=False)
+                for k in range(-4, 5):
+                    assert all_bgrank_gf(cap, k, degree).coeffs == table.get(k, ()), (cap, k, degree)
+
+    def test_strict_series_matches_walk(self):
+        for degree in (8, 16, 30):
+            table = walk_rank_table(degree, degree, strict=True)
+            for k in range(-5, 6):
+                assert strict_rank_series(k, degree).coeffs == table.get(k, ()), (k, degree)
 
 
 class TestVerifiers:
