@@ -78,7 +78,9 @@ def staircase_split(d: StrictPartition) -> tuple[int, ABSequence]:
 def staircase_join(t: int, delta) -> StrictPartition:
     """Inverse of staircase_split: prepend columns 1, 2, ..., m to delta.
 
-    The joined column profile is read back into rows of a shifted diagram.
+    The joined column profile is read back into rows of a shifted diagram,
+    row j running to the last column of height >= j: O(profile length +
+    rows).  The result is split again and must give back (t, delta).
     Raises NotTriangular when t is not a staircase weight and
     NotInStaircaseImage when (t, delta) fails the image conditions.
     """
@@ -99,10 +101,11 @@ def staircase_join(t: int, delta) -> StrictPartition:
     profile = tuple(range(1, m + 1)) + delta.entries
     if not profile:
         return StrictPartition()
-    n_rows = max(profile)
     rows = []
-    for j in range(1, n_rows + 1):
-        last = max(i for i in range(1, len(profile) + 1) if profile[i - 1] >= j)
+    last = len(profile)  # last column of height >= j only moves left as j grows
+    for j in range(1, max(profile) + 1):
+        while profile[last - 1] < j:
+            last -= 1
         rows.append(last - j + 1)
     try:
         joined = StrictPartition(rows)
@@ -170,25 +173,28 @@ class MappedPair:
 
 
 def minimal_box(k: int, largest: int) -> ParameterBox:
-    """Smallest box (by 2N + nu) admitting rank k and the given largest part."""
-    v = max(largest, 0)
-    while True:
-        box = ParameterBox(v // 2, v % 2, k)
-        if box.admissible:
-            return box
-        v += 1
+    """Smallest box (by 2N + nu) admitting rank k and the given largest part.
+
+    Rank k is admissible exactly when 2N + nu >= staircase_length(k).
+    """
+    v = max(largest, 0, staircase_length(k))
+    return ParameterBox(v // 2, v % 2, k)
 
 
 def minimal_box_for_image(k: int, image: Partition) -> ParameterBox:
     """Smallest box whose rank-k image orientation contains the
-    (un-conjugated) image partition."""
-    v = 0
-    while True:
-        box = ParameterBox(v // 2, v % 2, k)
-        bound_l, bound_m = box.bounds(conjugated=False)
-        if box.admissible and image.largest <= bound_l and image.length <= bound_m:
-            return box
-        v += 1
+    (un-conjugated) image partition.
+
+    With v = 2N + nu, N = floor(v/2) and N + nu = ceil(v/2), so each
+    bound N + c >= x needs v >= 2(x - c) and each bound N + nu + c >= x
+    needs v >= 2(x - c) - 1.  The part-count bound alone already forces
+    admissibility.
+    """
+    if k <= 0:
+        v = max(2 * (image.length - k), 2 * (image.largest + k) - 1)
+    else:
+        v = max(2 * (image.largest - k), 2 * (image.length + k) - 1)
+    return ParameterBox(v // 2, v % 2, k)
 
 
 def map_strict(d, box: ParameterBox | None = None, conjugate_positive: bool = True) -> MappedPair:

@@ -231,9 +231,7 @@ def cmd_gf(args, out) -> int:
     elif args.kind == "all":
         poly = all_bgrank_gf(args.max_part, args.k, args.degree)
     elif args.kind == "gaussian":
-        poly = gaussian_binomial(args.m, args.n)
-        if args.base > 1:
-            poly = substitute_power(poly, args.base)
+        poly = substitute_power(gaussian_binomial(args.m, args.n), args.base)
     elif args.kind == "negpoch":
         poly = neg_q_pochhammer(args.count)
     else:  # invpoch
@@ -248,18 +246,18 @@ def cmd_gf(args, out) -> int:
 
 def _verify_grid(args):
     """Build (callable, label) tuples for the requested identity, grid order."""
-    n_values = _parse_range(args.N) if args.N else list(range(0, 6))
-    nu_values = _parse_range(args.nu) if args.nu else [0, 1]
+    n_values = _parse_range(args.N) if args.N is not None else list(range(0, 6))
+    nu_values = _parse_range(args.nu) if args.nu is not None else [0, 1]
     degree = args.degree
     tasks = []
     if args.identity == "eq1":
         for n_cap in n_values:
             for nu in nu_values:
-                ks = _parse_range(args.k) if args.k else list(range(-n_cap - 1, n_cap + nu + 2))
+                ks = _parse_range(args.k) if args.k is not None else list(range(-n_cap - 1, n_cap + nu + 2))
                 for k in ks:
                     tasks.append(lambda n_cap=n_cap, nu=nu, k=k: verify_eq1(n_cap, nu, k))
     elif args.identity == "eq2":
-        ks = _parse_range(args.k) if args.k else list(range(-3, 4))
+        ks = _parse_range(args.k) if args.k is not None else list(range(-3, 4))
         for k in ks:
             tasks.append(lambda k=k: verify_eq2(k, degree))
     elif args.identity == "eq3":
@@ -267,7 +265,7 @@ def _verify_grid(args):
     elif args.identity == "eq51":
         for n_cap in n_values:
             for nu in nu_values:
-                ks = _parse_range(args.k) if args.k else list(range(-3, 4))
+                ks = _parse_range(args.k) if args.k is not None else list(range(-3, 4))
                 for k in ks:
                     tasks.append(lambda n_cap=n_cap, nu=nu, k=k: verify_eq51(n_cap, nu, k, degree))
     elif args.identity == "eq52":
@@ -282,9 +280,9 @@ def _verify_grid(args):
 
 
 def _verify_theorem31(args, out) -> int:
-    n_values = _parse_range(args.N) if args.N else list(range(0, 7))
-    nu_values = _parse_range(args.nu) if args.nu else [0, 1]
-    k_values = _parse_range(args.k) if args.k else list(range(-4, 5))
+    n_values = _parse_range(args.N) if args.N is not None else list(range(0, 7))
+    nu_values = _parse_range(args.nu) if args.nu is not None else [0, 1]
+    k_values = _parse_range(args.k) if args.k is not None else list(range(-4, 5))
     grid = [
         (n, n_cap, nu, k)
         for n in range(args.n_max + 1)

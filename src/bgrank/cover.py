@@ -12,8 +12,9 @@ Entry d_1 = a + 1 fills block 1 once; each later entry d_i first covers
 the once-covered cells of block i-1 a second time and drops the remainder
 into block i.  The twice-covered cells form the Young diagram of a
 partition of half the sequence weight.  The cell arithmetic reduces to
-the recurrence b_i = d_i - b_{i-1}, which is what the code runs; the cell
-layout itself is kept as ground truth for validation and rendering.
+the recurrence b_i = d_i - b_{i-1}, which is what the code runs; every
+step, its validation included, reads per-block counts in O(blocks), and
+the cells themselves are laid out only for rendering.
 """
 
 from dataclasses import dataclass
@@ -39,6 +40,14 @@ def block_capacity(a: int, i: int) -> int:
     return a + (i + 1) // 2 if i % 2 == 1 else i // 2
 
 
+def _capacities(a: int, n: int) -> list[int]:
+    """block_capacity(a, i) for i = 1 .. n, built without a call per block."""
+    caps = [0] * n
+    caps[0::2] = range(a + 1, a + 1 + (n + 1) // 2)
+    caps[1::2] = range(1, n // 2 + 1)
+    return caps
+
+
 @dataclass(frozen=True)
 class BlockCover:
     """Doubly-covered cell counts per block, trimmed at the last busy block.
@@ -55,24 +64,27 @@ class BlockCover:
     def __post_init__(self):
         if self.a < 0:
             raise ValueError(f"a must be non-negative, got {self.a}")
-        if self.covered and self.covered[-1] == 0:
+        covered = self.covered
+        if covered and covered[-1] == 0:
             raise ValueError("covered must be trimmed to the last non-zero block")
-        for i, b in enumerate(self.covered, start=1):
+        for i, (b, cap) in enumerate(zip(covered, _capacities(self.a, len(covered))), start=1):
             if b < 0:
                 raise CoverUnderflow(f"block {i} covered {b} times")
-            cap = block_capacity(self.a, i)
             if b > cap:
                 raise CoverOverflow(f"block {i} holds {b} cells, capacity {cap}")
-        for idx, b in enumerate(self.covered, start=1):
-            if idx % 2 == 0 and b > 0:
-                for r in range(1, b + 1):
-                    need = block_capacity(self.a, 2 * r - 1)
-                    have = self.covered[2 * r - 2] if 2 * r - 1 <= len(self.covered) else 0
-                    if have != need:
-                        raise NotAPartitionShape(
-                            f"block {idx} reaches row {r} but row {r} is not full "
-                            f"({have} of {need} cells)"
-                        )
+        # Rows 1 .. full are full; an even block reaching row full + 1 is
+        # the first to break the rule, and it breaks it at that row.
+        full = 0
+        while 2 * full < len(covered) and covered[2 * full] == self.a + full + 1:
+            full += 1
+        for idx in range(2, len(covered) + 1, 2):
+            if covered[idx - 1] > full:
+                r = full + 1
+                have = covered[2 * full] if 2 * full < len(covered) else 0
+                raise NotAPartitionShape(
+                    f"block {idx} reaches row {r} but row {r} is not full "
+                    f"({have} of {self.a + r} cells)"
+                )
 
     @property
     def last_index(self) -> int:
@@ -116,11 +128,10 @@ def double_cover(a: int, entries: Iterable[int]) -> BlockCover:
         raise NotABSequence(f"first entry must be a+1 = {a + 1}, got {entries[0]}")
     covered = []
     prev = 0
-    for i, d in enumerate(entries, start=1):
+    for i, (d, cap) in enumerate(zip(entries, _capacities(a, len(entries))), start=1):
         b = d - prev
         if b < 0:
             raise CoverUnderflow(f"entry {i} ({d}) cannot re-cover {prev} cells")
-        cap = block_capacity(a, i)
         if b > cap:
             raise CoverOverflow(f"entry {i} overfills block {i}: {b} > capacity {cap}")
         covered.append(b)
@@ -138,26 +149,31 @@ def assemble(cover: BlockCover) -> Partition:
     """Read the covered cells row by row into a partition.
 
     Row r collects b_{2r-1} cells from its horizontal block plus one cell
-    per even block 2m with m >= r tall enough to reach row r.  The result
-    must reproduce the covered cell set exactly, otherwise the cover does
-    not describe a left-justified diagram.
+    per even block 2m with b_{2m} >= r (such a block has m >= r, since
+    b_{2m} <= m); a suffix sum over the even-block heights counts those
+    for every row at once.  The covered cells must form exactly the
+    Young diagram of the rows.  Given the row-fill rule, that holds iff
+    the even blocks reaching row r are 2r, 2r+2, ... with no gap, i.e.
+    b_{2m} >= min(m, max_{m' > m} b_{2m'}) for every m: one reverse scan.
+    Cost O(blocks).
     """
     b = cover.covered
-    n_blocks = len(b)
-    rows = []
-    for r in range(1, (n_blocks + 1) // 2 + 1):
-        row = b[2 * r - 2] if 2 * r - 1 <= n_blocks else 0
-        for m in range(r, n_blocks // 2 + 1):
-            if b[2 * m - 1] >= r:
-                row += 1
-        rows.append(row)
+    odd, even = b[0::2], b[1::2]
+    reach = [0] * (len(odd) + 1)
+    for height in even:
+        reach[height] += 1
+    for r in range(len(odd) - 1, 0, -1):
+        reach[r] += reach[r + 1]
+    rows = [cells + reach[r] for r, cells in enumerate(odd, start=1)]
     while rows and rows[-1] == 0:
         rows.pop()
     if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)) or 0 in rows:
         raise NotAPartitionShape(f"assembled rows {rows} are not non-increasing")
-    diagram = {(r, c) for r, row in enumerate(rows, start=1) for c in range(1, row + 1)}
-    if diagram != set(cover.cells()):
-        raise NotAPartitionShape("covered cells are not the Young diagram of the assembled rows")
+    tallest_right = 0
+    for m in range(len(even), 0, -1):
+        if even[m - 1] < min(m, tallest_right):
+            raise NotAPartitionShape("covered cells are not the Young diagram of the assembled rows")
+        tallest_right = max(tallest_right, even[m - 1])
     return Partition(rows)
 
 
@@ -186,20 +202,26 @@ def read_cover(a: int, p: Partition) -> BlockCover:
 
     Row r contributes min(p_r, a + r) cells to block 2r-1; column
     a + m + 1 contributes one cell to block 2m for each of the top m rows
-    long enough to reach it.  Every partition decomposes; whether the
-    result is the cover of a valid sequence is a separate question.
+    long enough to reach it.  Those rows are a prefix that only shrinks
+    as m grows, so one pointer counts them: O(parts + largest).  Every
+    partition decomposes; whether the result is the cover of a valid
+    sequence is a separate question.
     """
     if a < 0:
         raise ValueError(f"a must be non-negative, got {a}")
     if not p:
         return BlockCover(a, ())
+    parts = p.parts
     n_rows = p.length
     n_cols = max(0, p.largest - a - 1)
     b = [0] * max(2 * n_rows - 1, 2 * n_cols)
     for r in range(1, n_rows + 1):
-        b[2 * r - 2] = min(p.parts[r - 1], a + r)
+        b[2 * r - 2] = min(parts[r - 1], a + r)
+    reaching = n_rows  # rows with p_r >= a + m + 1: a prefix that shrinks as m grows
     for m in range(1, n_cols + 1):
-        b[2 * m - 1] = sum(1 for r in range(1, min(m, n_rows) + 1) if p.parts[r - 1] >= a + m + 1)
+        while parts[reaching - 1] < a + m + 1:
+            reaching -= 1
+        b[2 * m - 1] = min(m, reaching)
     while b and b[-1] == 0:
         b.pop()
     return BlockCover(a, tuple(b))

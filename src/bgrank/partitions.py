@@ -9,6 +9,7 @@ Conventions used throughout the package:
   to be repaired).
 """
 
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError
@@ -139,11 +140,18 @@ def characteristic(p: Partition) -> int:
 
 
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the Young diagram: column lengths as a partition."""
-    cols = [0] * p.largest
-    for part in p.parts:
-        for i in range(part):
-            cols[i] += 1
+    """Transpose of the Young diagram: column i has one cell per part >= i.
+
+    Parts are non-increasing, so the parts >= i form a prefix whose end
+    only moves left as i grows; one pointer walks it, O(parts + largest).
+    """
+    parts = p.parts
+    cols = []
+    j = len(parts)
+    for i in range(1, p.largest + 1):
+        while parts[j - 1] < i:
+            j -= 1
+        cols.append(j)
     return Partition(cols)
 
 
@@ -152,10 +160,13 @@ def shifted_column_profile(d: StrictPartition) -> tuple[int, ...]:
 
     Row j occupies columns j .. j + d_j - 1, so the profile rises
     1, 2, ..., r over the first r columns and is non-increasing after
-    that; it sums to |d|.
+    that; it sums to |d|.  Each row adds +1 at its first column and -1
+    past its last in a difference array, and a prefix sum reads the
+    heights off: O(parts + largest).
     """
-    heights = [0] * d.largest
+    diff = [0] * (d.largest + 1)
     for j, part in enumerate(d.parts, start=1):
-        for col in range(j, j + part):
-            heights[col - 1] += 1
-    return tuple(heights)
+        diff[j - 1] += 1
+        diff[j + part - 1] -= 1
+    diff.pop()
+    return tuple(accumulate(diff))

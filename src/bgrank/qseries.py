@@ -465,7 +465,9 @@ def _report(identity: str, params: dict, lhs: QPolynomial, rhs: QPolynomial, sta
     )
 
 
-def _check_nu(nu: int):
+def _check_box(n_cap: int, nu: int):
+    if n_cap < 0:
+        raise InvalidArgument(f"N must be non-negative, got {n_cap}")
     if nu not in (0, 1):
         raise InvalidArgument(f"nu must be 0 or 1, got {nu}")
 
@@ -474,7 +476,7 @@ def verify_eq1(n_cap: int, nu: int, k: int) -> VerificationReport:
     """Strict partitions with parts <= 2N+nu and BG-rank k, against
     q^(2k^2-k) times the Gaussian binomial [2N+nu, N+k] in base q^2.
     Exact polynomial comparison; out-of-range k gives zero on both sides."""
-    _check_nu(nu)
+    _check_box(n_cap, nu)
     started = time.perf_counter()
     lhs = strict_bgrank_gf(2 * n_cap + nu, k)
     row = gaussian_binomial(2 * n_cap + nu, n_cap + k).coeffs
@@ -491,7 +493,7 @@ def verify_eq52(n_cap: int, nu: int) -> VerificationReport:
     The binomials [m, n] of the row m = 2N+nu are walked with
     [m, n] = [m, n-1] (1 - q^(m-n+1)) / (1 - q^n), each added into one sum.
     """
-    _check_nu(nu)
+    _check_box(n_cap, nu)
     started = time.perf_counter()
     m = 2 * n_cap + nu
     rhs = neg_q_pochhammer(m)
@@ -544,7 +546,7 @@ def verify_eq51(n_cap: int, nu: int, k: int, degree: int) -> VerificationReport:
     When N+k or N+nu-k is negative the class is empty and the right side
     is the zero polynomial by convention; the left side is still counted.
     """
-    _check_nu(nu)
+    _check_box(n_cap, nu)
     started = time.perf_counter()
     lhs = all_bgrank_gf(2 * n_cap + nu, k, degree)
     if n_cap + k < 0 or n_cap + nu - k < 0:
@@ -557,7 +559,7 @@ def verify_eq51(n_cap: int, nu: int, k: int, degree: int) -> VerificationReport:
 def verify_eq53(n_cap: int, nu: int, degree: int) -> VerificationReport:
     """Sum of the eq51 right sides over k = -N .. N+nu against
     1 / (q; q)_{2N+nu}, up to the degree."""
-    _check_nu(nu)
+    _check_box(n_cap, nu)
     started = time.perf_counter()
     rhs = inv_pochhammer(1, 2 * n_cap + nu, degree)
     lhs = [0] * (degree + 1)

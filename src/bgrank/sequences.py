@@ -64,10 +64,7 @@ def parse_entries(text: str) -> tuple[int, ...]:
 
 def alt_sum(entries: Sequence[int]) -> int:
     """Alternating sum sum((-1)^i * d_i) with 1-based i, so d_1 is negated."""
-    total = 0
-    for i, d in enumerate(entries, start=1):
-        total += -d if i % 2 == 1 else d
-    return total
+    return sum(entries[1::2]) - sum(entries[0::2])
 
 
 def validate_ab(entries: Iterable[int]) -> ABSequence:

@@ -152,3 +152,58 @@ def walk_rank_table(max_part, degree, strict):
 
     walk(max_part, 0, 0, 0)
     return _coeffs_by_rank(counts)
+
+
+def cover_layout_cells(a, covered):
+    """Cells of the block layout: odd block 2r-1 fills row r from column 1,
+    even block 2m fills column a+m+1 from row 1 down."""
+    return {
+        ((i + 1) // 2, step) if i % 2 == 1 else (step, a + i // 2 + 1)
+        for i, b in enumerate(covered, start=1)
+        for step in range(1, b + 1)
+    }
+
+
+def young_rows(cells):
+    """Row lengths of a cell set that is a Young diagram, i.e. holds the
+    cell to the left of and the cell above each of its cells; else None."""
+    if not all((c == 1 or (r, c - 1) in cells) and (r == 1 or (r - 1, c) in cells) for r, c in cells):
+        return None
+    rows = [0] * len({r for r, _ in cells})
+    for r, _ in cells:
+        rows[r - 1] += 1
+    return tuple(rows)
+
+
+def row_sum_cover(a, parts):
+    """Block counts of a partition's diagram for a, column by column:
+    b_{2r-1} = min(p_r, a+r) and b_{2m} counts the rows r <= m with
+    p_r >= a+m+1; trimmed at the last non-zero block."""
+    n_cols = max(0, (parts[0] if parts else 0) - a - 1)
+    b = [0] * max(2 * len(parts) - 1, 2 * n_cols, 0)
+    for r, part in enumerate(parts, start=1):
+        b[2 * r - 2] = min(part, a + r)
+    for m in range(1, n_cols + 1):
+        b[2 * m - 1] = sum(1 for r in range(1, min(m, len(parts)) + 1) if parts[r - 1] >= a + m + 1)
+    while b and b[-1] == 0:
+        b.pop()
+    return tuple(b)
+
+
+def shifted_profile_cells(parts):
+    """Column heights of the shifted diagram, one cell at a time: row j
+    covers columns j .. j + d_j - 1."""
+    heights = {}
+    for j, part in enumerate(parts, start=1):
+        for col in range(j, j + part):
+            heights[col] = heights.get(col, 0) + 1
+    return tuple(heights[col] for col in range(1, len(heights) + 1))
+
+
+def shifted_rows(profile):
+    """Rows of the shifted diagram with this column profile: row j runs
+    from column j to the last column of height >= j."""
+    return tuple(
+        max(i for i in range(1, len(profile) + 1) if profile[i - 1] >= j) - j + 1
+        for j in range(1, max(profile, default=0) + 1)
+    )

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bgrank import bijections
@@ -26,13 +28,53 @@ from bgrank import (
     unmap_strict,
     validate_ab,
 )
-from oracles import iter_partitions
+from oracles import iter_partitions, shifted_profile_cells, shifted_rows
 
 
 def strict_partitions_up_to(n_max):
     for n in range(n_max + 1):
         for parts in iter_partitions(n, strict=True):
             yield StrictPartition(parts)
+
+
+def random_strict_partitions(seed, count, largest_top, length_top):
+    """Seeded strict partitions with a largest part in 1 .. largest_top
+    and at most length_top parts."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        largest = rng.randint(1, largest_top)
+        rest = rng.sample(range(1, largest), min(largest - 1, rng.randint(0, length_top - 1)))
+        yield StrictPartition(sorted(rest + [largest], reverse=True))
+
+
+def stepping_minimal_box(k, largest):
+    """minimal_box as a search: step 2N + nu up from the largest part."""
+    v = max(largest, 0)
+    while True:
+        box = ParameterBox(v // 2, v % 2, k)
+        if box.admissible:
+            return box
+        v += 1
+
+
+def stepping_image_boxes(k, size):
+    """minimal_box_for_image as a search, for every largest part and
+    length in 0 .. size at once: step 2N + nu up from 0 and give each
+    (largest, length) the first admissible box that holds it.  For one
+    largest part the lengths held so far are always 0 .. next - 1."""
+    found = {}
+    next_length = [0] * (size + 1)
+    v = 0
+    while len(found) < (size + 1) ** 2:
+        box = ParameterBox(v // 2, v % 2, k)
+        bound_l, bound_m = box.bounds(conjugated=False)
+        if box.admissible:
+            for largest in range(min(bound_l, size) + 1):
+                while next_length[largest] <= min(bound_m, size):
+                    found[(largest, next_length[largest])] = box
+                    next_length[largest] += 1
+        v += 1
+    return found
 
 
 class TestRankArithmetic:
@@ -94,6 +136,15 @@ class TestStaircaseJoin:
             t, delta = staircase_split(d)
             assert staircase_join(t, delta) == d
 
+    def test_random_against_shifted_rows(self):
+        # long, sparse and dense shapes; the oracle reads each row with max()
+        shapes = [(400, 5), (300, 40), (150, 150)]
+        for seed, (largest_top, length_top) in enumerate(shapes):
+            for d in random_strict_partitions(seed, 40, largest_top, length_top):
+                t, delta = staircase_split(d)
+                rows = shifted_rows(shifted_profile_cells(d.parts))
+                assert staircase_join(t, delta).parts == rows == d.parts
+
 
 class TestParameterBox:
     def test_validation(self):
@@ -121,6 +172,23 @@ class TestParameterBox:
         assert minimal_box(0, 0) == ParameterBox(0, 0, 0)
         assert minimal_box(3, 1) == ParameterBox(2, 1, 3)
         assert minimal_box(-2, 1) == ParameterBox(2, 0, -2)
+
+    def test_minimal_box_closed_form(self):
+        for k in range(-30, 31):
+            for largest in range(61):
+                assert minimal_box(k, largest) == stepping_minimal_box(k, largest), (k, largest)
+
+    def test_minimal_box_for_image_closed_form(self):
+        # only largest part and length matter, so a rectangle stands for
+        # every image of that shape
+        images = {(0, 0): Partition()}
+        for largest in range(1, 61):
+            for length in range(1, 61):
+                images[(largest, length)] = Partition((largest,) * length)
+        for k in range(-30, 31):
+            expected = stepping_image_boxes(k, 60)
+            for shape, image in images.items():
+                assert minimal_box_for_image(k, image) == expected[shape], (k, shape)
 
 
 class TestMapStrict:
@@ -283,3 +351,42 @@ class TestExhaustiveSweep:
             if box is not None:
                 bound_l, bound_m = box.bounds(conjugated=False)
                 assert working.largest <= bound_l and working.length <= bound_m
+
+
+class TestLawsAtScale:
+    """Criterion 6's laws on seeded strict partitions far beyond the
+    exhaustive sweep: sparse-long shapes (few parts, largest part in the
+    thousands) and dense ones (hundreds of parts), n up to about 10^5."""
+
+    @staticmethod
+    def shapes():
+        rng = random.Random(31)
+        yield StrictPartition((6000, 5999, 3))
+        for _ in range(12):
+            largest = rng.randint(500, 5000)
+            rest = rng.sample(range(1, largest), rng.randint(1, 11))
+            yield StrictPartition(sorted(rest + [largest], reverse=True))
+        for _ in range(17):
+            top = rng.randint(100, 500)
+            keep = rng.uniform(0.3, 1.0)
+            parts = [v for v in range(top - 1, 0, -1) if rng.random() < keep]
+            yield StrictPartition([top] + parts)
+
+    def test_all_laws(self):
+        seen_sizes = []
+        for d in self.shapes():
+            seen_sizes.append(d.size)
+            k = bg_rank(d)
+            box = minimal_box(k, d.largest)
+            for conj in (True, False):
+                pair = map_strict(d, box, conjugate_positive=conj)
+                assert d.size == 2 * k * k - k + 2 * pair.image.size
+                assert pair.m == staircase_length(k)
+                bound_l, bound_m = box.bounds(pair.conjugated)
+                assert pair.image.largest <= bound_l and pair.image.length <= bound_m
+                back = unmap_strict(pair.triangular, pair.image, box, conjugated=pair.conjugated)
+                assert back == d
+                assert back.largest <= box.strict_largest_bound
+                assert map_strict(back, box, conjugate_positive=conj) == pair
+            assert last_block_within_bound(d)
+        assert max(seen_sizes) > 80_000

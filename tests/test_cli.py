@@ -239,14 +239,41 @@ class TestErrorContract:
             (["verify", "eq1", "--nu", "2"], 3),
             (["verify", "eq1", "--N", "0..x"], 2),
             (["gf", "invpoch", "--factors", "abc"], 2),
+            (["gf", "gaussian", "--m", "5", "--n", "2", "--base", "-1"], 3),
+            (["gf", "gaussian", "--m", "5", "--n", "2", "--base", "0"], 3),
+            (["verify", "eq1", "--N", ""], 2),
+            (["verify", "eq1", "--nu", ""], 2),
+            (["verify", "eq1", "--k", ""], 2),
+            (["verify", "theorem31", "--N", ""], 2),
+            (["verify", "theorem31", "--nu", ""], 2),
+            (["verify", "theorem31", "--k", ""], 2),
+            (["verify", "eq53", "--N=-1"], 3),
         ],
-        ids=["negative-max-part", "nu-2", "bad-range", "bad-factors"],
+        ids=[
+            "negative-max-part",
+            "nu-2",
+            "bad-range",
+            "bad-factors",
+            "gaussian-base-negative",
+            "gaussian-base-zero",
+            "empty-N",
+            "empty-nu",
+            "empty-k",
+            "theorem31-empty-N",
+            "theorem31-empty-nu",
+            "theorem31-empty-k",
+            "eq53-negative-N",
+        ],
     )
     def test_bad_argument_gives_one_error_line(self, argv, code, capsys):
         assert run(argv)[0] == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_negative_n_is_named(self, capsys):
+        assert run(["verify", "eq53", "--N=-1"])[0] == 3
+        assert capsys.readouterr().err == "error: N must be non-negative, got -1\n"
 
     def test_rank_check_is_a_real_raise(self, monkeypatch, capsys):
         # the residue count and the part indices must agree on the BG-rank;

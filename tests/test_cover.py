@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from bgrank import (
@@ -10,6 +13,7 @@ from bgrank import (
     NotAPartitionShape,
     NotInImage,
     Partition,
+    assemble,
     block_capacity,
     cover_image,
     cover_preimage,
@@ -18,7 +22,7 @@ from bgrank import (
     read_cover,
     validate_ab,
 )
-from oracles import ab_sequences, iter_partitions
+from oracles import ab_sequences, cover_layout_cells, iter_partitions, row_sum_cover, young_rows
 
 
 class TestBlockCapacity:
@@ -225,3 +229,34 @@ class TestExhaustiveBijectivity:
                     for b in range(1, 2 * len(parts) + 3):
                         expected = found_b == b
                         assert in_class(p, BoxPartitionClass(a, b)) == expected, (a, b, parts)
+
+
+class TestAgainstCellOracles:
+    """The O(blocks) readings against cell-by-cell definitions."""
+
+    def test_every_small_cover(self):
+        # every capacity-respecting cover with a <= 2 and up to 7 blocks:
+        # the cells form a Young diagram exactly when BlockCover and
+        # assemble accept, and then assemble reads its rows
+        checked = rejected = 0
+        for a in range(3):
+            for n_blocks in range(1, 8):
+                caps = [block_capacity(a, i) for i in range(1, n_blocks + 1)]
+                for covered in itertools.product(*(range(cap + 1) for cap in caps[:-1])):
+                    for last in range(1, caps[-1] + 1):
+                        covered_all = covered + (last,)
+                        try:
+                            got = assemble(BlockCover(a, covered_all)).parts
+                        except NotAPartitionShape:
+                            got = None
+                            rejected += 1
+                        assert got == young_rows(cover_layout_cells(a, covered_all)), (a, covered_all)
+                        checked += 1
+        assert rejected > 0 and checked > rejected
+
+    def test_read_cover_on_random_partitions(self):
+        rng = random.Random(2023)
+        for _ in range(300):
+            parts = tuple(sorted((rng.randint(1, 60) for _ in range(rng.randint(1, 40))), reverse=True))
+            a = rng.randint(0, 8)
+            assert read_cover(a, Partition(parts)).covered == row_sum_cover(a, parts), (a, parts)

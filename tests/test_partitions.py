@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bgrank import (
@@ -12,7 +14,7 @@ from bgrank import (
     parse_partition,
     shifted_column_profile,
 )
-from oracles import direct_rank, iter_partitions, residue_fill_rank, transpose_cells
+from oracles import direct_rank, iter_partitions, residue_fill_rank, shifted_profile_cells, transpose_cells
 
 
 class TestConstruction:
@@ -125,6 +127,12 @@ class TestConjugate:
                 assert c.size == p.size
                 assert (c.largest, c.length) == (p.length, p.largest)
 
+    def test_random_against_cells(self):
+        rng = random.Random(7)
+        for _ in range(100):
+            parts = tuple(sorted((rng.randint(1, 80) for _ in range(rng.randint(1, 60))), reverse=True))
+            assert conjugate(Partition(parts)).parts == transpose_cells(parts)
+
 
 class TestShiftedProfile:
     @pytest.mark.parametrize(
@@ -152,3 +160,9 @@ class TestShiftedProfile:
                 assert profile[:r] == tuple(range(1, r + 1))
                 tail = profile[r - 1 :]
                 assert all(tail[i] >= tail[i + 1] for i in range(len(tail) - 1))
+
+    def test_random_against_cells(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            parts = tuple(sorted(rng.sample(range(1, 120), rng.randint(1, 40)), reverse=True))
+            assert shifted_column_profile(StrictPartition(parts)) == shifted_profile_cells(parts)
